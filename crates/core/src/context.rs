@@ -12,7 +12,7 @@
 //! share the index, caches, and statistics), and the task's private loop
 //! counters.
 
-use crate::chunks::{chunk_key, ChunkManifest};
+use crate::chunks::ChunkManifest;
 use crate::loops::LoopStats;
 use backdroid_dex::{dump_image, dump_image_with_marks, DexImage};
 use backdroid_ir::wire::{self, WireReader};
@@ -96,10 +96,11 @@ pub struct AppArtifacts {
     program: LazyProgram,
     manifest: Manifest,
     engine: SearchEngine,
-    /// The per-class chunk manifest (see [`crate::chunks`]). Fresh
-    /// builds compute it lazily from the program; a snapshot restore
-    /// decodes it from its own section, so version diffing never
-    /// forces the program decode.
+    /// The per-class chunk manifest (see [`crate::chunks`]). Most fresh
+    /// builds compute it lazily from the program; the cached build
+    /// hashes every class anyway for its segment keys and stores the
+    /// result here. A snapshot restore decodes it from its own section,
+    /// so version diffing never forces the program decode.
     chunk_manifest: OnceLock<ChunkManifest>,
 }
 
@@ -147,10 +148,13 @@ impl AppArtifacts {
     ) -> (Self, TokenCache, usize) {
         let image = DexImage::encode(&program);
         let (dump, marks) = dump_image_with_marks(&image);
+        // One hash per class serves both the segment keys and the
+        // memoized chunk manifest the next version diff reads.
+        let chunks = ChunkManifest::of_program(&program);
         let segments: Vec<ClassSegment> = marks
             .iter()
             .map(|m| ClassSegment {
-                key: chunk_key(program.class(&m.name).expect("mark names a program class")),
+                key: chunks.key_of(&m.name).expect("mark names a program class"),
                 start: m.line_start,
                 end: m.line_end,
             })
@@ -161,7 +165,7 @@ impl AppArtifacts {
             program: LazyProgram::ready(program),
             manifest,
             engine: SearchEngine::with_backend(text, backend),
-            chunk_manifest: OnceLock::new(),
+            chunk_manifest: OnceLock::from(chunks),
         };
         (artifacts, next_cache, reused)
     }
@@ -205,13 +209,11 @@ impl AppArtifacts {
         backend: BackendChoice,
         chunk_manifest: ChunkManifest,
     ) -> Self {
-        let cell = OnceLock::new();
-        cell.set(chunk_manifest).expect("fresh cell");
         AppArtifacts {
             program: LazyProgram::deferred(program_blob, class_count, method_count),
             manifest,
             engine: SearchEngine::with_backend(text, backend),
-            chunk_manifest: cell,
+            chunk_manifest: OnceLock::from(chunk_manifest),
         }
     }
 
@@ -261,8 +263,9 @@ impl AppArtifacts {
     }
 
     /// The per-class chunk manifest. Snapshot restores decode it from
-    /// its own section; fresh builds compute (and memoize) it from the
-    /// program on first touch.
+    /// its own section and [`AppArtifacts::with_backend_cached`] stores
+    /// the one it built; other fresh builds compute (and memoize) it
+    /// from the program on first touch.
     pub fn chunk_manifest(&self) -> &ChunkManifest {
         self.chunk_manifest
             .get_or_init(|| ChunkManifest::of_program(self.program()))

@@ -7,26 +7,19 @@
 //! into `.` (§IV-A step 2: "an inner class needs to add back the symbol
 //! `$`").
 
-use crate::insn::Insn;
+use crate::insn::{Insn, Reg};
 use crate::model::{ClassDef, DexFile, DexImage, EncodedMethod};
-use backdroid_ir::{ClassName, FieldSig, MethodSig, Type};
-use std::fmt::Write as _;
+use backdroid_ir::{ClassName, FieldSig, MethodSig, Modifiers, Type};
+use std::fmt::{self, Write as _};
 
 /// The bytecode reference form of a method, as it appears in dexdump
 /// operand positions: `Lcom/a/B;.start:(I)V`.
 pub fn method_ref_string(sig: &MethodSig) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "L{};.{}:(",
-        sig.class().as_str().replace('.', "/"),
-        sig.name()
-    );
-    for p in sig.params() {
-        s.push_str(&p.descriptor());
-    }
-    s.push(')');
-    s.push_str(&sig.ret().descriptor());
+    let mut s = class_descriptor(sig.class());
+    s.push('.');
+    s.push_str(sig.name());
+    s.push(':');
+    push_proto(&mut s, sig);
     s
 }
 
@@ -56,12 +49,12 @@ pub fn parse_method_ref(s: &str) -> Option<MethodSig> {
 /// The bytecode reference form of a field:
 /// `Lcom/a/B;.httpServer:Lcom/c/D;`.
 pub fn field_ref_string(sig: &FieldSig) -> String {
-    format!(
-        "L{};.{}:{}",
-        sig.class().as_str().replace('.', "/"),
-        sig.name(),
-        sig.ty().descriptor()
-    )
+    let mut s = class_descriptor(sig.class());
+    s.push('.');
+    s.push_str(sig.name());
+    s.push(':');
+    sig.ty().push_descriptor(&mut s);
+    s
 }
 
 /// Parses a bytecode field reference. Inverse of [`field_ref_string`].
@@ -77,170 +70,223 @@ pub fn parse_field_ref(s: &str) -> Option<FieldSig> {
 
 /// The `Lcom/a/B;` descriptor of a class name.
 pub fn class_descriptor(name: &ClassName) -> String {
-    format!("L{};", name.as_str().replace('.', "/"))
+    let mut s = String::new();
+    name.push_descriptor(&mut s);
+    s
 }
 
-/// The proto string used in method banner/type lines: `(I)V`.
-fn proto_string(sig: &MethodSig) -> String {
-    let mut s = String::from("(");
+/// Appends the proto used in method banner/type lines: `(I)V`.
+fn push_proto(out: &mut String, sig: &MethodSig) {
+    out.push('(');
     for p in sig.params() {
-        s.push_str(&p.descriptor());
+        p.push_descriptor(out);
     }
-    s.push(')');
-    s.push_str(&sig.ret().descriptor());
-    s
+    out.push(')');
+    sig.ret().push_descriptor(out);
 }
 
 /// The dotted banner form dexdump prints inside code listings, with the
 /// inner-class `$` flattened to `.`:
 /// `com.connectsdk.service.NetcastTVService.1.run:()V`.
 pub fn banner_name(sig: &MethodSig) -> String {
-    format!(
-        "{}.{}:{}",
-        sig.class().as_str().replace('$', "."),
-        sig.name(),
-        proto_string(sig)
-    )
+    let mut s = String::new();
+    push_banner(&mut s, sig);
+    s
 }
 
-fn access_suffix(access: backdroid_ir::Modifiers, is_init: bool) -> String {
-    let mut names = Vec::new();
-    if access.is_public() {
-        names.push("PUBLIC");
+fn push_banner(out: &mut String, sig: &MethodSig) {
+    for (i, part) in sig.class().as_str().split('$').enumerate() {
+        if i > 0 {
+            out.push('.');
+        }
+        out.push_str(part);
     }
-    if access.is_private() {
-        names.push("PRIVATE");
-    }
-    if access.is_static() {
-        names.push("STATIC");
-    }
-    if access.is_final() {
-        names.push("FINAL");
-    }
-    if access.is_abstract() {
-        names.push("ABSTRACT");
-    }
-    if access.is_interface() {
-        names.push("INTERFACE");
-    }
-    if is_init {
-        names.push("CONSTRUCTOR");
-    }
-    format!("0x{:04x} ({})", access.bits(), names.join(" "))
+    out.push('.');
+    out.push_str(sig.name());
+    out.push(':');
+    push_proto(out, sig);
 }
 
-/// Renders fake code-word hex for an instruction (stable filler so the
-/// dump *looks* like dexdump output; never parsed by the search).
-fn fake_words(insn: &Insn, unit_off: u32) -> String {
+/// Appends access flags as dexdump prints them: `0x0009 (PUBLIC STATIC)`.
+fn push_access(out: &mut String, access: Modifiers, is_init: bool) {
+    out.push_str("0x");
+    push_hex(out, access.bits(), 4);
+    out.push_str(" (");
+    let names = [
+        (access.is_public(), "PUBLIC"),
+        (access.is_private(), "PRIVATE"),
+        (access.is_static(), "STATIC"),
+        (access.is_final(), "FINAL"),
+        (access.is_abstract(), "ABSTRACT"),
+        (access.is_interface(), "INTERFACE"),
+        (is_init, "CONSTRUCTOR"),
+    ];
+    let mut sep = "";
+    for (_, name) in names.iter().filter(|(set, _)| *set) {
+        out.push_str(sep);
+        out.push_str(name);
+        sep = " ";
+    }
+    out.push(')');
+}
+
+/// Appends `v` in lowercase hex, zero-padded to at least `width` digits
+/// (the `{:0width$x}` format, without the formatting machinery).
+fn push_hex(out: &mut String, v: u32, width: usize) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let digits = (8 - v.leading_zeros() as usize / 4).max(1);
+    for _ in digits..width {
+        out.push('0');
+    }
+    for k in (0..digits).rev() {
+        out.push(DIGITS[(v >> (4 * k)) as usize & 0xf] as char);
+    }
+}
+
+/// Appends the fake code-word hex column for an instruction, padded to
+/// its 21-character width (stable filler so the dump *looks* like
+/// dexdump output; never parsed by the search).
+fn push_fake_words(out: &mut String, insn: &Insn, unit_off: u32) {
+    const COLUMN: usize = 21;
+    let start = out.len();
     let op = insn.pseudo_opcode() as u32;
-    let mut words = Vec::new();
     for k in 0..insn.units().min(3) {
         let w = (op << 8) ^ (unit_off.wrapping_mul(0x9e37).wrapping_add(k * 0x515d)) & 0xffff;
-        words.push(format!("{:04x}", w & 0xffff));
+        if k > 0 {
+            out.push(' ');
+        }
+        push_hex(out, w & 0xffff, 4);
     }
-    words.join(" ")
+    for _ in out.len() - start..COLUMN {
+        out.push(' ');
+    }
 }
 
 struct Renderer<'a> {
     dex: &'a DexFile,
-    out: String,
+    out: &'a mut String,
+    /// The file's method and field reference strings, indexed by pool
+    /// id: rendered once per file rather than at every use.
+    method_refs: Vec<String>,
+    field_refs: Vec<String>,
     /// Fake absolute file offset, advanced per code unit.
     abs: u32,
 }
 
 impl<'a> Renderer<'a> {
-    fn operand(&self, insn: &Insn) -> String {
+    fn new(dex: &'a DexFile, out: &'a mut String) -> Renderer<'a> {
+        Renderer {
+            dex,
+            out,
+            method_refs: dex.method_sigs().iter().map(method_ref_string).collect(),
+            field_refs: dex.field_sigs().iter().map(field_ref_string).collect(),
+            abs: 0x1000,
+        }
+    }
+
+    /// Appends the operand text of one instruction.
+    fn operand(&mut self, insn: &Insn) -> fmt::Result {
+        let dex = self.dex;
+        let out = &mut *self.out;
+        let suffix = |object: bool| if object { "-object" } else { "" };
         match insn {
-            Insn::Nop => "nop // spacer".into(),
-            Insn::Move { dst, src } => format!("move-object {dst}, {src}"),
+            Insn::Nop => out.push_str("nop // spacer"),
+            Insn::Move { dst, src } => write!(out, "move-object {dst}, {src}")?,
             Insn::MoveResult { dst, object } => {
-                if *object {
-                    format!("move-result-object {dst}")
-                } else {
-                    format!("move-result {dst}")
-                }
+                write!(out, "move-result{} {dst}", suffix(*object))?
             }
-            Insn::ConstInt { dst, value } => format!("const {dst}, #int {value}"),
-            Insn::ConstString { dst, idx } => format!(
+            Insn::ConstInt { dst, value } => write!(out, "const {dst}, #int {value}")?,
+            Insn::ConstString { dst, idx } => write!(
+                out,
                 "const-string {dst}, \"{}\" // string@{:04x}",
-                self.dex.string(*idx),
+                dex.string(*idx),
                 idx.0
-            ),
-            Insn::ConstClass { dst, idx } => format!(
+            )?,
+            Insn::ConstClass { dst, idx } => write!(
+                out,
                 "const-class {dst}, {} // type@{:04x}",
-                self.dex.type_desc(*idx),
+                dex.type_desc(*idx),
                 idx.0
-            ),
-            Insn::ConstNull { dst } => format!("const/4 {dst}, #int 0 // null"),
-            Insn::NewInstance { dst, idx } => format!(
+            )?,
+            Insn::ConstNull { dst } => write!(out, "const/4 {dst}, #int 0 // null")?,
+            Insn::NewInstance { dst, idx } => write!(
+                out,
                 "new-instance {dst}, {} // type@{:04x}",
-                self.dex.type_desc(*idx),
+                dex.type_desc(*idx),
                 idx.0
-            ),
-            Insn::NewArray { dst, size, idx } => format!(
+            )?,
+            Insn::NewArray { dst, size, idx } => write!(
+                out,
                 "new-array {dst}, {size}, {} // type@{:04x}",
-                self.dex.type_desc(*idx),
+                dex.type_desc(*idx),
                 idx.0
-            ),
-            Insn::ArrayLength { dst, src } => format!("array-length {dst}, {src}"),
-            Insn::CheckCast { reg, idx } => format!(
+            )?,
+            Insn::ArrayLength { dst, src } => write!(out, "array-length {dst}, {src}")?,
+            Insn::CheckCast { reg, idx } => write!(
+                out,
                 "check-cast {reg}, {} // type@{:04x}",
-                self.dex.type_desc(*idx),
+                dex.type_desc(*idx),
                 idx.0
-            ),
-            Insn::InstanceOf { dst, src, idx } => format!(
+            )?,
+            Insn::InstanceOf { dst, src, idx } => write!(
+                out,
                 "instance-of {dst}, {src}, {} // type@{:04x}",
-                self.dex.type_desc(*idx),
+                dex.type_desc(*idx),
                 idx.0
-            ),
+            )?,
             Insn::Iget {
                 dst,
                 obj,
                 idx,
                 object,
-            } => format!(
+            } => write!(
+                out,
                 "iget{} {dst}, {obj}, {} // field@{:04x}",
-                if *object { "-object" } else { "" },
-                field_ref_string(self.dex.field_sig(*idx)),
+                suffix(*object),
+                self.field_refs[idx.0 as usize],
                 idx.0
-            ),
+            )?,
             Insn::Iput {
                 src,
                 obj,
                 idx,
                 object,
-            } => format!(
+            } => write!(
+                out,
                 "iput{} {src}, {obj}, {} // field@{:04x}",
-                if *object { "-object" } else { "" },
-                field_ref_string(self.dex.field_sig(*idx)),
+                suffix(*object),
+                self.field_refs[idx.0 as usize],
                 idx.0
-            ),
-            Insn::Sget { dst, idx, object } => format!(
+            )?,
+            Insn::Sget { dst, idx, object } => write!(
+                out,
                 "sget{} {dst}, {} // field@{:04x}",
-                if *object { "-object" } else { "" },
-                field_ref_string(self.dex.field_sig(*idx)),
+                suffix(*object),
+                self.field_refs[idx.0 as usize],
                 idx.0
-            ),
-            Insn::Sput { src, idx, object } => format!(
+            )?,
+            Insn::Sput { src, idx, object } => write!(
+                out,
                 "sput{} {src}, {} // field@{:04x}",
-                if *object { "-object" } else { "" },
-                field_ref_string(self.dex.field_sig(*idx)),
+                suffix(*object),
+                self.field_refs[idx.0 as usize],
                 idx.0
-            ),
-            Insn::Aget { dst, arr, index } => format!("aget-object {dst}, {arr}, {index}"),
-            Insn::Aput { src, arr, index } => format!("aput-object {src}, {arr}, {index}"),
+            )?,
+            Insn::Aget { dst, arr, index } => write!(out, "aget-object {dst}, {arr}, {index}")?,
+            Insn::Aput { src, arr, index } => write!(out, "aput-object {src}, {arr}, {index}")?,
             Insn::Invoke { kind, idx, args } => {
-                let regs = args
-                    .iter()
-                    .map(|r| r.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!(
-                    "{} {{{regs}}}, {} // method@{:04x}",
-                    kind.dex_mnemonic(),
-                    method_ref_string(self.dex.method_sig(*idx)),
-                    idx.0
-                )
+                out.push_str(kind.dex_mnemonic());
+                out.push_str(" {");
+                let mut sep = "";
+                for Reg(r) in args {
+                    write!(out, "{sep}v{r}")?;
+                    sep = ", ";
+                }
+                write!(
+                    out,
+                    "}}, {} // method@{:04x}",
+                    self.method_refs[idx.0 as usize], idx.0
+                )?
             }
             Insn::Binop { op, dst, a, b } => {
                 let mnem = match op {
@@ -257,157 +303,121 @@ impl<'a> Renderer<'a> {
                     backdroid_ir::BinOp::Ushr => "ushr-int",
                     backdroid_ir::BinOp::Cmp => "cmp-long",
                 };
-                format!("{mnem} {dst}, {a}, {b}")
+                write!(out, "{mnem} {dst}, {a}, {b}")?
             }
             Insn::IfTest {
                 mnemonic,
                 a,
                 b,
                 target_units,
-            } => format!("{mnemonic} {a}, {b}, {target_units:04x} // +{target_units:04x}"),
+            } => write!(
+                out,
+                "{mnemonic} {a}, {b}, {target_units:04x} // +{target_units:04x}"
+            )?,
             Insn::Goto { target_units } => {
-                format!("goto {target_units:04x} // +{target_units:04x}")
+                write!(out, "goto {target_units:04x} // +{target_units:04x}")?
             }
-            Insn::ReturnVoid => "return-void".into(),
-            Insn::Return { reg, object } => {
-                if *object {
-                    format!("return-object {reg}")
-                } else {
-                    format!("return {reg}")
-                }
-            }
-            Insn::Throw { reg } => format!("throw {reg}"),
+            Insn::ReturnVoid => out.push_str("return-void"),
+            Insn::Return { reg, object } => write!(out, "return{} {reg}", suffix(*object))?,
+            Insn::Throw { reg } => write!(out, "throw {reg}")?,
         }
+        Ok(())
     }
 
-    fn render_method(&mut self, class: &ClassDef, k: usize, m: &EncodedMethod) {
-        let _ = writeln!(
-            self.out,
-            "    #{k:<15}: (in {})",
-            class_descriptor(&class.name)
-        );
-        let _ = writeln!(self.out, "      name          : '{}'", m.sig.name());
-        let _ = writeln!(self.out, "      type          : '{}'", proto_string(&m.sig));
-        let _ = writeln!(
-            self.out,
-            "      access        : {}",
-            access_suffix(m.access, m.sig.is_init())
-        );
+    fn render_method(&mut self, class: &ClassDef, k: usize, m: &EncodedMethod) -> fmt::Result {
+        let out = &mut *self.out;
+        writeln!(out, "    #{k:<15}: (in {})", self.dex.type_desc(class.ty))?;
+        writeln!(out, "      name          : '{}'", m.sig.name())?;
+        out.push_str("      type          : '");
+        push_proto(out, &m.sig);
+        out.push_str("'\n      access        : ");
+        push_access(out, m.access, m.sig.is_init());
+        out.push('\n');
         let Some(code) = &m.code else {
-            let _ = writeln!(self.out, "      code          : (none)");
-            let _ = writeln!(self.out);
-            return;
+            out.push_str("      code          : (none)\n\n");
+            return Ok(());
         };
-        let _ = writeln!(self.out, "      code          -");
-        let _ = writeln!(self.out, "      registers     : {}", code.registers);
-        let _ = writeln!(
-            self.out,
-            "      ins           : {}",
-            m.sig.params().len() + 1
-        );
-        let _ = writeln!(
-            self.out,
+        out.push_str("      code          -\n");
+        writeln!(out, "      registers     : {}", code.registers)?;
+        writeln!(out, "      ins           : {}", m.sig.params().len() + 1)?;
+        writeln!(
+            out,
             "      insns size    : {} 16-bit code units",
             code.total_units
-        );
+        )?;
         let method_start = self.abs;
-        let _ = writeln!(
-            self.out,
-            "{method_start:06x}:                                       |[{method_start:06x}] {}",
-            banner_name(&m.sig)
-        );
-        for (i, insn) in code.insns.iter().enumerate() {
-            let unit = code.offsets[i];
-            let words = fake_words(insn, unit);
-            let text = self.operand(insn);
-            let abs = method_start + unit * 2;
-            let _ = writeln!(self.out, "{abs:06x}: {words:<21} |{unit:04x}: {text}");
+        push_hex(out, method_start, 6);
+        out.push_str(":                                       |[");
+        push_hex(out, method_start, 6);
+        out.push_str("] ");
+        push_banner(out, &m.sig);
+        out.push('\n');
+        for (insn, &unit) in code.insns.iter().zip(&code.offsets) {
+            let out = &mut *self.out;
+            push_hex(out, method_start + unit * 2, 6);
+            out.push_str(": ");
+            push_fake_words(out, insn, unit);
+            out.push_str(" |");
+            push_hex(out, unit, 4);
+            out.push_str(": ");
+            self.operand(insn)?;
+            self.out.push('\n');
         }
         self.abs = method_start + code.total_units * 2 + 12;
-        let _ = writeln!(self.out, "      catches       : (none)");
-        let _ = writeln!(self.out, "      positions     : ");
-        let _ = writeln!(self.out);
+        self.out
+            .push_str("      catches       : (none)\n      positions     : \n\n");
+        Ok(())
     }
 
-    fn render_class(&mut self, idx: usize, class: &ClassDef) {
-        let _ = writeln!(self.out, "Class #{idx}            -");
-        let _ = writeln!(
-            self.out,
-            "  Class descriptor  : '{}'",
-            class_descriptor(&class.name)
-        );
-        let _ = writeln!(
-            self.out,
-            "  Access flags      : {}",
-            access_suffix(class.access, false)
-        );
+    fn render_class(&mut self, idx: usize, class: &ClassDef) -> fmt::Result {
+        let desc = self.dex.type_desc(class.ty);
+        let out = &mut *self.out;
+        writeln!(out, "Class #{idx}            -")?;
+        writeln!(out, "  Class descriptor  : '{desc}'")?;
+        out.push_str("  Access flags      : ");
+        push_access(out, class.access, false);
+        out.push('\n');
         if let Some(sup) = class.superclass {
-            let _ = writeln!(
-                self.out,
-                "  Superclass        : '{}'",
-                self.dex.type_desc(sup)
-            );
+            writeln!(out, "  Superclass        : '{}'", self.dex.type_desc(sup))?;
         }
-        let _ = writeln!(self.out, "  Interfaces        -");
+        out.push_str("  Interfaces        -\n");
         for (i, iface) in class.interfaces.iter().enumerate() {
-            let desc = self.dex.type_desc(*iface).to_string();
-            let _ = writeln!(self.out, "    #{i}              : '{desc}'");
+            writeln!(
+                out,
+                "    #{i}              : '{}'",
+                self.dex.type_desc(*iface)
+            )?;
         }
-        let _ = writeln!(self.out, "  Static fields     -");
-        for (i, f) in class
-            .fields
-            .iter()
-            .filter(|f| f.access.is_static())
-            .enumerate()
-        {
-            let _ = writeln!(
-                self.out,
-                "    #{i}              : (in {}) name:'{}' type:'{}'",
-                class_descriptor(&class.name),
-                f.sig.name(),
-                f.sig.ty().descriptor()
-            );
+        for (header, statics) in [
+            ("  Static fields     -\n", true),
+            ("  Instance fields   -\n", false),
+        ] {
+            out.push_str(header);
+            let fields = class
+                .fields
+                .iter()
+                .filter(|f| f.access.is_static() == statics);
+            for (i, f) in fields.enumerate() {
+                write!(
+                    out,
+                    "    #{i}              : (in {desc}) name:'{}' type:'",
+                    f.sig.name()
+                )?;
+                f.sig.ty().push_descriptor(out);
+                out.push_str("'\n");
+            }
         }
-        let _ = writeln!(self.out, "  Instance fields   -");
-        for (i, f) in class
-            .fields
-            .iter()
-            .filter(|f| !f.access.is_static())
-            .enumerate()
-        {
-            let _ = writeln!(
-                self.out,
-                "    #{i}              : (in {}) name:'{}' type:'{}'",
-                class_descriptor(&class.name),
-                f.sig.name(),
-                f.sig.ty().descriptor()
-            );
+        self.out.push_str("  Direct methods    -\n");
+        for (k, m) in class.methods.iter().filter(|m| m.direct).enumerate() {
+            self.render_method(class, k, m)?;
         }
-        let _ = writeln!(self.out, "  Direct methods    -");
-        let directs: Vec<&EncodedMethod> = class.methods.iter().filter(|m| m.direct).collect();
-        for (k, m) in directs.into_iter().enumerate() {
-            self.render_method(class, k, m);
+        self.out.push_str("  Virtual methods   -\n");
+        for (k, m) in class.methods.iter().filter(|m| !m.direct).enumerate() {
+            self.render_method(class, k, m)?;
         }
-        let _ = writeln!(self.out, "  Virtual methods   -");
-        let virtuals: Vec<&EncodedMethod> = class.methods.iter().filter(|m| !m.direct).collect();
-        for (k, m) in virtuals.into_iter().enumerate() {
-            self.render_method(class, k, m);
-        }
-        let _ = writeln!(self.out);
+        self.out.push('\n');
+        Ok(())
     }
-}
-
-/// Disassembles a single dex file.
-pub fn dump_dex(dex: &DexFile) -> String {
-    let mut r = Renderer {
-        dex,
-        out: String::new(),
-        abs: 0x1000,
-    };
-    for (idx, class) in dex.class_defs().iter().enumerate() {
-        r.render_class(idx, class);
-    }
-    r.out
 }
 
 /// Disassembles all dex files of a (merged multidex) image into one
@@ -441,24 +451,17 @@ pub fn dump_image_with_marks(image: &DexImage) -> (String, Vec<ClassMark>) {
     let mut marks = Vec::new();
     let mut line = 0u32;
     for (i, f) in image.files().iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "Opened 'classes{}.dex', DEX version '038'",
-            if i == 0 {
-                String::new()
-            } else {
-                (i + 1).to_string()
-            }
-        );
+        out.push_str("Opened 'classes");
+        if i > 0 {
+            let _ = write!(out, "{}", i + 1);
+        }
+        out.push_str(".dex', DEX version '038'\n");
         line += 1;
-        let mut r = Renderer {
-            dex: f,
-            out: String::new(),
-            abs: 0x1000,
-        };
+        let mut r = Renderer::new(f, &mut out);
         for (idx, class) in f.class_defs().iter().enumerate() {
             let before = r.out.len();
-            r.render_class(idx, class);
+            r.render_class(idx, class)
+                .expect("writing to a String cannot fail");
             let rendered = r.out[before..].bytes().filter(|&b| b == b'\n').count() as u32;
             marks.push(ClassMark {
                 name: class.name.clone(),
@@ -467,7 +470,6 @@ pub fn dump_image_with_marks(image: &DexImage) -> (String, Vec<ClassMark>) {
             });
             line += rendered;
         }
-        out.push_str(&r.out);
     }
     (out, marks)
 }

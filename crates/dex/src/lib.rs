@@ -33,7 +33,7 @@ pub mod insn;
 pub mod model;
 
 pub use dump::{
-    banner_name, class_descriptor, dump_dex, dump_image, dump_image_with_marks, field_ref_string,
+    banner_name, class_descriptor, dump_image, dump_image_with_marks, field_ref_string,
     method_ref_string, parse_field_ref, parse_method_ref, ClassMark,
 };
 pub use insn::{CodeItem, FieldIdx, Insn, MethodIdx, PoolResolver, Reg, StringIdx, TypeIdx};

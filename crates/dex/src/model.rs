@@ -90,14 +90,14 @@ pub struct PoolBuilder {
     strings: Vec<String>,
     string_map: HashMap<String, u32>,
     types: Vec<String>, // descriptors
-    type_map: HashMap<String, u32>,
+    type_map: HashMap<Type, u32>,
     protos: Vec<ProtoId>,
     proto_map: HashMap<(u32, Vec<u32>), u32>,
     fields: Vec<FieldId>,
-    field_map: HashMap<String, u32>,
+    field_map: HashMap<FieldSig, u32>,
     field_sigs: Vec<FieldSig>,
     methods: Vec<MethodId>,
-    method_map: HashMap<String, u32>,
+    method_map: HashMap<MethodSig, u32>,
     method_sigs: Vec<MethodSig>,
 }
 
@@ -113,13 +113,12 @@ impl PoolBuilder {
     }
 
     fn intern_type(&mut self, t: &Type) -> TypeIdx {
-        let desc = t.descriptor();
-        if let Some(&i) = self.type_map.get(&desc) {
+        if let Some(&i) = self.type_map.get(t) {
             return TypeIdx(i);
         }
         let i = self.types.len() as u32;
-        self.types.push(desc.clone());
-        self.type_map.insert(desc, i);
+        self.types.push(t.descriptor());
+        self.type_map.insert(t.clone(), i);
         TypeIdx(i)
     }
 
@@ -171,8 +170,7 @@ impl PoolResolver for PoolBuilder {
     }
 
     fn field_idx(&mut self, f: &FieldSig) -> FieldIdx {
-        let key = f.to_string();
-        if let Some(&i) = self.field_map.get(&key) {
+        if let Some(&i) = self.field_map.get(f) {
             return FieldIdx(i);
         }
         let class = self.intern_type(&Type::Object(f.class().clone()));
@@ -181,13 +179,12 @@ impl PoolResolver for PoolBuilder {
         let i = self.fields.len() as u32;
         self.fields.push(FieldId { class, ty, name });
         self.field_sigs.push(f.clone());
-        self.field_map.insert(key, i);
+        self.field_map.insert(f.clone(), i);
         FieldIdx(i)
     }
 
     fn method_idx(&mut self, m: &MethodSig) -> MethodIdx {
-        let key = m.to_string();
-        if let Some(&i) = self.method_map.get(&key) {
+        if let Some(&i) = self.method_map.get(m) {
             return MethodIdx(i);
         }
         let class = self.intern_type(&Type::Object(m.class().clone()));
@@ -196,7 +193,7 @@ impl PoolResolver for PoolBuilder {
         let i = self.methods.len() as u32;
         self.methods.push(MethodId { class, proto, name });
         self.method_sigs.push(m.clone());
-        self.method_map.insert(key, i);
+        self.method_map.insert(m.clone(), i);
         MethodIdx(i)
     }
 }
@@ -296,6 +293,16 @@ impl DexFile {
         &self.pools.method_sigs[idx.0 as usize]
     }
 
+    /// The field pool's signatures, indexed by [`FieldIdx`].
+    pub(crate) fn field_sigs(&self) -> &[FieldSig] {
+        &self.pools.field_sigs
+    }
+
+    /// The method pool's signatures, indexed by [`MethodIdx`].
+    pub(crate) fn method_sigs(&self) -> &[MethodSig] {
+        &self.pools.method_sigs
+    }
+
     /// Estimated on-disk size in bytes, following the real DEX layout
     /// arithmetic (header + pools + class defs + code).
     pub fn byte_size(&self) -> u64 {
@@ -356,17 +363,18 @@ impl DexImage {
         use std::collections::HashSet;
         let mut files = Vec::new();
         let mut chunk: Vec<ClassName> = Vec::new();
-        let mut refs: HashSet<String> = HashSet::new();
+        let mut refs: HashSet<&MethodSig> = HashSet::new();
+        let mut class_refs: Vec<&MethodSig> = Vec::new();
 
         for class in program.classes() {
             // Method references this class contributes to the pool.
-            let mut class_refs: Vec<String> = Vec::new();
+            class_refs.clear();
             for m in class.methods() {
-                class_refs.push(m.sig().to_string());
+                class_refs.push(m.sig());
                 if let Some(body) = m.body() {
                     for stmt in body.stmts() {
                         if let Some(ie) = stmt.invoke_expr() {
-                            class_refs.push(ie.callee.to_string());
+                            class_refs.push(&ie.callee);
                         }
                     }
                 }
@@ -377,7 +385,7 @@ impl DexImage {
                 chunk.clear();
                 refs.clear();
             }
-            refs.extend(class_refs);
+            refs.extend(class_refs.iter().copied());
             chunk.push(class.name().clone());
         }
         if !chunk.is_empty() || files.is_empty() {

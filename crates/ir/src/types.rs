@@ -50,6 +50,18 @@ impl ClassName {
         }
     }
 
+    /// Appends the `Lcom/a/B;` descriptor form of the name to `out`.
+    pub fn push_descriptor(&self, out: &mut String) {
+        out.push('L');
+        for (i, part) in self.0.split('.').enumerate() {
+            if i > 0 {
+                out.push('/');
+            }
+            out.push_str(part);
+        }
+        out.push(';');
+    }
+
     /// Whether this is a (possibly anonymous) inner class.
     pub fn is_inner_class(&self) -> bool {
         self.simple_name().contains('$')
@@ -151,19 +163,50 @@ impl Type {
 
     /// JVM/DEX descriptor form: `I`, `J`, `Lcom/a/B;`, `[I` …
     pub fn descriptor(&self) -> String {
+        let mut s = String::new();
+        self.push_descriptor(&mut s);
+        s
+    }
+
+    /// Appends the [`Type::descriptor`] form to `out` without building a
+    /// temporary string.
+    pub fn push_descriptor(&self, out: &mut String) {
         match self {
-            Type::Void => "V".into(),
-            Type::Boolean => "Z".into(),
-            Type::Byte => "B".into(),
-            Type::Short => "S".into(),
-            Type::Char => "C".into(),
-            Type::Int => "I".into(),
-            Type::Long => "J".into(),
-            Type::Float => "F".into(),
-            Type::Double => "D".into(),
-            Type::Object(c) => format!("L{};", c.as_str().replace('.', "/")),
-            Type::Array(e) => format!("[{}", e.descriptor()),
+            Type::Void => out.push('V'),
+            Type::Boolean => out.push('Z'),
+            Type::Byte => out.push('B'),
+            Type::Short => out.push('S'),
+            Type::Char => out.push('C'),
+            Type::Int => out.push('I'),
+            Type::Long => out.push('J'),
+            Type::Float => out.push('F'),
+            Type::Double => out.push('D'),
+            Type::Object(c) => c.push_descriptor(out),
+            Type::Array(e) => {
+                out.push('[');
+                e.push_descriptor(out);
+            }
         }
+    }
+
+    /// Length in bytes of the descriptor [`Type::parse_descriptor_prefix`]
+    /// would parse from the front of `desc`, without building the type:
+    /// `Some(desc.len() - rest.len())` exactly when that parse succeeds.
+    pub fn descriptor_prefix_len(desc: &str) -> Option<usize> {
+        let dims = desc.bytes().take_while(|&b| b == b'[').count();
+        let elem = &desc[dims..];
+        let len = match *elem.as_bytes().first()? {
+            // Arrays of void do not exist.
+            b'V' if dims > 0 => return None,
+            b'V' | b'Z' | b'B' | b'S' | b'C' | b'I' | b'J' | b'F' | b'D' => 1,
+            b'L' => match elem.find(';')? {
+                // `L;` names no class.
+                1 => return None,
+                end => end + 1,
+            },
+            _ => return None,
+        };
+        Some(dims + len)
     }
 
     /// Parses a descriptor back into a type.

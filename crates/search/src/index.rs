@@ -544,15 +544,13 @@ fn scan_tokens(line: &str, emit: &mut impl FnMut(&str, &str)) {
     // Quote-delimited literals: enumerate every quote pair so any
     // needle of the form `"…"` present in the line has its content
     // keyed (dump lines carry at most one literal, so this stays
-    // quadratic only in theory).
-    let quotes: Vec<usize> = line
-        .char_indices()
-        .filter(|&(_, c)| c == '"')
-        .map(|(p, _)| p)
-        .collect();
-    for (a, &qa) in quotes.iter().enumerate() {
-        for &qb in &quotes[a + 1..] {
-            emit("s:", &line[qa + 1..qb]);
+    // quadratic only in theory). Most lines hold no quote at all.
+    if line.contains('"') {
+        let quotes: Vec<usize> = line.match_indices('"').map(|(p, _)| p).collect();
+        for (a, &qa) in quotes.iter().enumerate() {
+            for &qb in &quotes[a + 1..] {
+                emit("s:", &line[qa + 1..qb]);
+            }
         }
     }
 
@@ -574,8 +572,8 @@ fn scan_tokens(line: &str, emit: &mut impl FnMut(&str, &str)) {
     // Class descriptors and member references: try a descriptor parse
     // at every `L` byte, mirroring how the linear grep's needles can
     // match at any position.
-    for (p, _) in line.char_indices().filter(|&(_, c)| c == 'L') {
-        let Some(desc_len) = object_descriptor_len(&line[p..]) else {
+    for (p, _) in line.match_indices('L') {
+        let Some(desc_len) = Type::descriptor_prefix_len(&line[p..]) else {
             continue;
         };
         emit("c:", &line[p..p + desc_len]);
@@ -597,9 +595,9 @@ fn scan_tokens(line: &str, emit: &mut impl FnMut(&str, &str)) {
                 let end = p + desc_len + 1 + colon + 1 + proto_len;
                 emit("i:", &line[p..end]);
             }
-        } else if let Some((_, rem)) = Type::parse_descriptor_prefix(after) {
+        } else if let Some(ty_len) = Type::descriptor_prefix_len(after) {
             // Field reference: `Lc;.name:type`.
-            let end = p + desc_len + 1 + colon + 1 + (after.len() - rem.len());
+            let end = p + desc_len + 1 + colon + 1 + ty_len;
             emit("f:", &line[p..end]);
         }
     }
@@ -626,32 +624,16 @@ where
     postings
 }
 
-/// Length of the `Lpkg/Cls;` object descriptor at the start of `s`, if
-/// one is present. Mirrors the `L` branch of
-/// [`Type::parse_descriptor_prefix`]: any non-empty run of characters up
-/// to the first `;`.
-fn object_descriptor_len(s: &str) -> Option<usize> {
-    if !s.starts_with('L') {
-        return None;
-    }
-    let end = s.find(';')?;
-    if end < 2 {
-        return None;
-    }
-    Some(end + 1)
-}
-
 /// Length of the `(params)ret` proto at the start of `s`, if one parses.
 fn proto_prefix_len(s: &str) -> Option<usize> {
-    let mut cur = s.strip_prefix('(')?;
-    loop {
-        if let Some(after_paren) = cur.strip_prefix(')') {
-            let (_, rem) = Type::parse_descriptor_prefix(after_paren)?;
-            return Some(s.len() - rem.len());
-        }
-        let (_, rem) = Type::parse_descriptor_prefix(cur)?;
-        cur = rem;
+    if !s.starts_with('(') {
+        return None;
     }
+    let mut len = 1;
+    while !s[len..].starts_with(')') {
+        len += Type::descriptor_prefix_len(&s[len..])?;
+    }
+    Some(len + 1 + Type::descriptor_prefix_len(&s[len + 1..])?)
 }
 
 #[cfg(test)]
@@ -786,9 +768,9 @@ mod tests {
 
     #[test]
     fn prefix_parsers_reject_garbage() {
-        assert_eq!(object_descriptor_len("not a descriptor"), None);
-        assert_eq!(object_descriptor_len("L;"), None);
-        assert_eq!(object_descriptor_len("Lcom/a/B; trailing"), Some(9));
+        assert_eq!(Type::descriptor_prefix_len("not a descriptor"), None);
+        assert_eq!(Type::descriptor_prefix_len("L;"), None);
+        assert_eq!(Type::descriptor_prefix_len("Lcom/a/B; trailing"), Some(9));
         assert_eq!(proto_prefix_len("()V"), Some(3));
         assert_eq!(proto_prefix_len("(ILjava/lang/String;)[B rest"), Some(23));
         assert_eq!(proto_prefix_len("(Q)V"), None);

@@ -59,12 +59,83 @@ fn method_sig() -> impl Strategy<Value = MethodSig> {
         .prop_map(|(c, n, p, r)| MethodSig::new(c, n, p, r))
 }
 
+/// Descriptor-shaped strings: up to three `[`, a first element char
+/// (every descriptor start, a letter none starts with, `;`, non-ASCII),
+/// then a tail over the class-name alphabet. Valid, truncated and
+/// malformed descriptors (`[V`, `L;`, `L…` without `;`) all come up.
+fn descriptor_shaped() -> impl Strategy<Value = String> {
+    ("[[]{0,3}", "[LLLVVZBSCIJFDQ;é€]", "[Lx/;;;é]{0,5}").prop_map(|(a, b, c)| a + &b + &c)
+}
+
+/// Arbitrary strings: half the characters ASCII, half any code point.
+fn any_string() -> impl Strategy<Value = String> {
+    prop::collection::vec(any::<u32>(), 0..10).prop_map(|cs| {
+        cs.into_iter()
+            .filter_map(|c| {
+                char::from_u32(if c & 1 == 0 {
+                    (c >> 1) & 0x7f
+                } else {
+                    (c >> 1) % 0x11_0000
+                })
+            })
+            .collect()
+    })
+}
+
+/// The length the allocating descriptor parser consumes from `s`.
+fn parsed_prefix_len(s: &str) -> Option<usize> {
+    Type::parse_descriptor_prefix(s).map(|(_, rest)| s.len() - rest.len())
+}
+
+#[test]
+fn descriptor_prefix_len_matches_parser_on_edge_cases() {
+    for s in [
+        "",
+        "V",
+        "[V",
+        "[[V",
+        "L",
+        "L;",
+        "Lx",
+        "Lx;",
+        "[[Lx;",
+        "[[Lx;rest",
+        "[",
+        "[[",
+        "é",
+        "[é",
+        "Lé;",
+        "Q",
+        "IJ",
+        "(I)V",
+    ] {
+        assert_eq!(
+            Type::descriptor_prefix_len(s),
+            parsed_prefix_len(s),
+            "input {s:?}"
+        );
+    }
+}
+
 proptest! {
     /// Descriptor encoding/decoding round-trips for arbitrary types.
     #[test]
     fn type_descriptor_round_trip(t in simple_type()) {
         let desc = t.descriptor();
         prop_assert_eq!(Type::from_descriptor(&desc), Some(t));
+    }
+
+    /// The non-allocating descriptor scanner consumes exactly what the
+    /// parser consumes, on descriptor-shaped input.
+    #[test]
+    fn descriptor_prefix_len_matches_parser(s in descriptor_shaped()) {
+        prop_assert_eq!(Type::descriptor_prefix_len(&s), parsed_prefix_len(&s));
+    }
+
+    /// ... and on arbitrary strings.
+    #[test]
+    fn descriptor_prefix_len_matches_parser_on_any_string(s in any_string()) {
+        prop_assert_eq!(Type::descriptor_prefix_len(&s), parsed_prefix_len(&s));
     }
 
     /// Soot-format method signatures parse back to themselves.
