@@ -3,11 +3,14 @@
 use backdroid_appgen::{AppSpec, Mechanism, Scenario, SinkKind};
 use backdroid_core::{locate_sinks, slice_sink, AppArtifacts, DetectorRegistry, SlicerConfig};
 use backdroid_dex::{dump_image, method_ref_string, parse_method_ref, DexImage};
+use backdroid_ir::wire::fnv1a64;
 use backdroid_ir::{
     BinOp, ClassBuilder, ClassName, Const, InvokeExpr, MethodBuilder, MethodSig, Program, Type,
     Value,
 };
+use backdroid_obs::Tracer;
 use backdroid_search::{BytecodeText, SearchCmd, SearchEngine};
+use backdroid_service::proto;
 use proptest::prelude::*;
 
 /// Strategy for simple Java identifiers.
@@ -82,6 +85,25 @@ fn any_string() -> impl Strategy<Value = String> {
     })
 }
 
+/// `value` escaped the way the obs crate's span export emits a
+/// deterministic attribute. (Metric names are restricted to
+/// `[a-z0-9_]`, so the span export is where that escaper meets
+/// arbitrary strings.)
+fn exported_attr(value: &str) -> String {
+    let tracer = Tracer::with_capacity(1);
+    let mut tb = tracer.begin(0);
+    let root = tb.open(None, "request");
+    tb.attr(root, "app", value);
+    tb.finish(&tracer);
+    let line = tracer.export_normalized_jsonl();
+    line.strip_prefix(
+        "{\"trace\":0,\"span\":0,\"parent\":null,\"name\":\"request\",\"attrs\":{\"app\":\"",
+    )
+    .and_then(|rest| rest.strip_suffix("\"},\"start\":0,\"end\":0}\n"))
+    .unwrap_or_else(|| panic!("one span with one attribute: {line}"))
+    .to_string()
+}
+
 /// The length the allocating descriptor parser consumes from `s`.
 fn parsed_prefix_len(s: &str) -> Option<usize> {
     Type::parse_descriptor_prefix(s).map(|(_, rest)| s.len() - rest.len())
@@ -136,6 +158,23 @@ proptest! {
     #[test]
     fn descriptor_prefix_len_matches_parser_on_any_string(s in any_string()) {
         prop_assert_eq!(Type::descriptor_prefix_len(&s), parsed_prefix_len(&s));
+    }
+
+    /// The three FNV-1a copies agree: appgen picks app names by its copy
+    /// for the whole-app baseline's error injection, and shard routing
+    /// hashes app ids with `fnv1a64`.
+    #[test]
+    fn fnv1a_copies_agree(s in any_string()) {
+        let h = fnv1a64(s.as_bytes());
+        prop_assert_eq!(backdroid_appgen::benchset::fnv1a(&s), h);
+        prop_assert_eq!(backdroid_wholeapp::amandroid::fnv1a(&s), h);
+    }
+
+    /// The wire escaper and the obs crate's escaper emit the same bytes
+    /// (the `metrics` op embeds obs-rendered JSON in a wire reply).
+    #[test]
+    fn proto_escape_matches_obs_escaping(s in any_string()) {
+        prop_assert_eq!(proto::escape(&s), exported_attr(&s));
     }
 
     /// Soot-format method signatures parse back to themselves.
