@@ -36,6 +36,7 @@
 
 use backdroid_appgen::benchset::{bench_app, BenchApp, BenchsetConfig, Profile};
 use backdroid_core::{AppArtifacts, Backdroid, BackdroidOptions, BackendChoice};
+use backdroid_search::BytecodeText;
 use backdroid_wholeapp::amandroid::{analyze, AmandroidConfig, Outcome};
 use backdroid_wholeapp::paper_minutes;
 use serde::Serialize;
@@ -376,8 +377,12 @@ pub fn run_backdroid_with(
     let start = Instant::now();
     let dump = app.dump();
     let dump_lines = dump.lines().count() as u64;
-    let artifacts =
-        AppArtifacts::from_dump_backend(app.program.clone(), app.manifest.clone(), &dump, backend);
+    let artifacts = AppArtifacts::from_parts(
+        app.program.clone(),
+        app.manifest.clone(),
+        BytecodeText::index(&dump),
+        backend,
+    );
     let tool = Backdroid::with_options(BackdroidOptions {
         backend,
         intra_threads,

@@ -105,8 +105,9 @@ pub struct AppArtifacts {
 }
 
 /// Encode → disassemble → index: the shared preprocessing step of §III,
-/// used by every artifact constructor that starts from a program.
-fn build_engine(program: &Program, backend: BackendChoice) -> SearchEngine {
+/// used by [`Backdroid::analyze`](crate::Backdroid::analyze) and every
+/// artifact constructor that starts from a program.
+pub(crate) fn build_engine(program: &Program, backend: BackendChoice) -> SearchEngine {
     let image = DexImage::encode(program);
     let dump = dump_image(&image);
     SearchEngine::with_backend(BytecodeText::index(&dump), backend)
@@ -170,17 +171,12 @@ impl AppArtifacts {
         (artifacts, next_cache, reused)
     }
 
-    /// Builds the artifacts over an already-disassembled dump (lets tests
-    /// and the benchmark harness reuse a dump across runs).
-    pub fn from_dump(program: Program, manifest: Manifest, dump: &str) -> Self {
-        Self::from_dump_backend(program, manifest, dump, BackendChoice::default())
-    }
-
     /// Reassembles artifacts from already-built parts — the restore path
     /// of the snapshot layer (see [`crate::snapshot`]): the text arrives
     /// fully indexed from disk, so no DEX encode, disassembly, or
     /// tokenization runs. The backend is runtime configuration, chosen
-    /// by the restorer.
+    /// by the restorer. Tests and the benchmark harness use it to reuse
+    /// one dump across runs (`BytecodeText::index(&dump)`).
     pub fn from_parts(
         program: Program,
         manifest: Manifest,
@@ -214,22 +210,6 @@ impl AppArtifacts {
             manifest,
             engine: SearchEngine::with_backend(text, backend),
             chunk_manifest: OnceLock::from(chunk_manifest),
-        }
-    }
-
-    /// Builds the artifacts over an existing dump with an explicit
-    /// search-backend choice.
-    pub fn from_dump_backend(
-        program: Program,
-        manifest: Manifest,
-        dump: &str,
-        backend: BackendChoice,
-    ) -> Self {
-        AppArtifacts {
-            program: LazyProgram::ready(program),
-            manifest,
-            engine: SearchEngine::with_backend(BytecodeText::index(dump), backend),
-            chunk_manifest: OnceLock::new(),
         }
     }
 

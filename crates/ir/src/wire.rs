@@ -61,7 +61,8 @@ fn malformed(msg: impl Into<String>) -> WireError {
 }
 
 /// 64-bit FNV-1a over a byte slice — the checksum the snapshot container
-/// stores next to its payload.
+/// stores next to its payload, the shard router's app-id hash, and the
+/// whole-app baseline's error-injection hash.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {

@@ -36,11 +36,13 @@ pub use metrics::{
 pub use trace::{SpanRecord, TraceBuilder, Tracer};
 
 /// Escapes a string for embedding in a JSON string literal: quotes,
-/// backslashes, and control characters. Local to this crate — the
-/// serving layer has its own escaper and the two are never mixed in one
-/// document.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// backslashes, and control characters. The one JSON escaper of the
+/// workspace: the serving layer's wire protocol re-exports it, so the
+/// `metrics` op's embedded registry JSON and the reply around it escape
+/// alike.
+pub fn escape_json(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -48,7 +50,9 @@ pub(crate) fn escape_json(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }

@@ -353,9 +353,9 @@ impl RegistrySnapshot {
 
     /// Folds another snapshot in: counters and gauges add, histograms
     /// merge bucketwise, names only in `other` are copied over. Gauges
-    /// add (rather than take either side) so per-shard resident bytes
-    /// and peaks aggregate the same way the legacy `absorb` on the
-    /// stats structs did.
+    /// add (rather than take either side), so a fold of per-shard peaks
+    /// is an **upper bound** on the true simultaneous peak (per-shard
+    /// peaks need not coincide).
     pub fn absorb(&mut self, other: &RegistrySnapshot) {
         for (name, theirs) in &other.entries {
             match self.entries.binary_search_by(|(n, _)| n.cmp(name)) {

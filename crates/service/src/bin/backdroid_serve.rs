@@ -20,8 +20,8 @@
 //! store, and pool statistics go to stderr at EOF.
 //!
 //! App updates are first-class ops: `put_version` publishes a seeded
-//! mutated version (persisted as content-addressed per-class chunks
-//! under the snapshot dir), and `analyze_delta` re-analyzes only what
+//! mutated version (persisted as a snapshot under the snapshot dir,
+//! when one is given), and `analyze_delta` re-analyzes only what
 //! the update could have changed — rendering the same bytes as a full
 //! `analyze` of that version, which the CI delta-smoke leg replay-diffs.
 

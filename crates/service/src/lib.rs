@@ -13,7 +13,7 @@
 //! * [`Service`] answers full analyses, per-detector queries, and
 //!   batched multi-app requests against the store, through the existing
 //!   `Backdroid::analyze_artifacts` + `intra_threads` machinery, with
-//!   atomically aggregated [`ServiceStats`].
+//!   [`ServiceStats`] decoded from its metrics registry.
 //! * [`proto`] is the line-delimited JSON protocol the `backdroid-serve`
 //!   binary speaks on stdin/stdout — deterministic responses that CI
 //!   diffs byte-for-byte across worker counts, backends, and budgets.

@@ -302,24 +302,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 // ---------------------------------------------------------------------
 
 /// Escapes a string for a JSON string literal.
-pub fn escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use backdroid_obs::escape_json as escape;
 
 fn str_field(key: &str, value: &str) -> String {
     format!("\"{}\":\"{}\"", key, escape(value))

@@ -14,8 +14,8 @@ use crate::store::{AppStore, Fetch, StoreStats};
 use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
 use backdroid_appgen::mutate_version;
 use backdroid_core::{
-    apply_delta, AppArtifacts, AppReport, Backdroid, BackdroidOptions, BackendChoice,
-    ChunkManifest, ChunkStore, DeltaBase, DeltaStats, DetectorRegistry,
+    AppArtifacts, AppReport, Backdroid, BackdroidOptions, BackendChoice, DeltaBase, DeltaStats,
+    DetectorRegistry,
 };
 use backdroid_obs::{Counter, Gauge, Histogram, MetricsRegistry, RegistrySnapshot};
 use backdroid_search::TokenCache;
@@ -39,9 +39,10 @@ pub struct ServiceConfig {
     /// reassembled in request order, so any width is deterministic.
     pub batch_threads: usize,
     /// Optional snapshot directory enabling the store's disk tier:
-    /// cold loads restore from versioned, checksummed snapshots and
-    /// first parses persist them (see [`crate::store::DiskTier`]).
-    /// Responses are byte-identical with or without it.
+    /// cold loads restore from versioned, checksummed snapshots, and
+    /// first parses and [`Service::put_version`] publishes persist them
+    /// (see [`crate::store::DiskTier`]). Responses are byte-identical
+    /// with or without it.
     pub snapshot_dir: Option<std::path::PathBuf>,
     /// The detectors this service instance runs. Defaults to the
     /// paper's set ([`DetectorRegistry::paper`]); query requests may
@@ -88,8 +89,7 @@ impl std::error::Error for ServiceError {}
 
 /// The deterministic outcome of a [`Service::put_version`] call: the
 /// new version number plus the class-level delta the chunk-manifest
-/// diff recorded. Pure functions of (current version, seed) — never
-/// chunk-store I/O counts, which depend on cross-app dedup.
+/// diff recorded. Pure functions of (current version, seed).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PutVersionOutcome {
     /// The app id the request named.
@@ -154,21 +154,6 @@ impl ServiceStats {
             store: StoreStats::from_metrics(snap),
         }
     }
-
-    /// Folds another service's counters into this one (see
-    /// [`StoreStats::absorb`] for the aggregation semantics) — used by
-    /// the shard pool to answer the `stats` op with fleet-wide totals.
-    /// `peak_in_flight` sums, an upper bound on true simultaneous
-    /// depth across shards.
-    pub fn absorb(&mut self, other: &ServiceStats) {
-        self.requests += other.requests;
-        self.analyze_requests += other.analyze_requests;
-        self.query_requests += other.query_requests;
-        self.batch_requests += other.batch_requests;
-        self.errors += other.errors;
-        self.peak_in_flight += other.peak_in_flight;
-        self.store.absorb(&other.store);
-    }
 }
 
 /// The service's registry handles: request counters, queue-depth
@@ -201,7 +186,6 @@ struct Counters {
     delta_analysis_us: Histogram,
     chunks_reused: Counter,
     chunks_written: Counter,
-    chunk_fallbacks: Counter,
     classes_retokenized: Counter,
     sinks_reused: Counter,
     sinks_reanalyzed: Counter,
@@ -236,7 +220,6 @@ impl Counters {
             delta_analysis_us: registry.histogram("delta_analysis_us"),
             chunks_reused: registry.counter("chunks_reused_total"),
             chunks_written: registry.counter("chunks_written_total"),
-            chunk_fallbacks: registry.counter("chunk_full_fallback_total"),
             classes_retokenized: registry.counter("update_classes_retokenized_total"),
             sinks_reused: registry.counter("sinks_reused_total"),
             sinks_reanalyzed: registry.counter("sinks_reanalyzed_total"),
@@ -285,10 +268,6 @@ pub struct Service {
     store: AppStore,
     base: BackdroidOptions,
     batch_threads: usize,
-    /// Content-addressed per-class chunk store under
-    /// `<snapshot_dir>/chunks`; absent without a snapshot directory
-    /// (updates then skip persistence but behave identically).
-    chunks: Option<ChunkStore>,
     versions: Mutex<HashMap<String, VersionState>>,
     /// Per-app update locks: `put_version` is a read-mutate-publish over
     /// the served version, so two concurrent updates to the same app
@@ -322,13 +301,8 @@ impl Service {
             .map(|dir| crate::store::DiskTier::new(dir, cfg.backend));
         let store = AppStore::over_registry(cfg.budget_bytes, disk, Arc::clone(&registry), loader);
         let counters = Counters::register(&registry);
-        let chunks = cfg
-            .snapshot_dir
-            .as_ref()
-            .and_then(|dir| ChunkStore::open(dir.join("chunks")).ok());
         Service {
             store,
-            chunks,
             versions: Mutex::default(),
             update_locks: Mutex::default(),
             base: BackdroidOptions {
@@ -450,15 +424,13 @@ impl Service {
     }
 
     /// Publishes version *n+1* of an app: mutates the current program
-    /// with the deterministic update generator, records the chunk-level
-    /// delta, persists the new version's chunks (when a chunk store is
-    /// configured) and round-trips the program through
-    /// [`apply_delta`] — unchanged classes cloned from the resident
-    /// prior, changed/added ones decoded from their chunks — falling
-    /// back to the in-memory mutated program if any chunk is missing or
-    /// corrupt. The new search index is built through the per-class
-    /// token cache, so only touched classes re-tokenize, and the store
-    /// swaps to the new image under its epoch guard.
+    /// with the deterministic update generator and builds the new image
+    /// through the per-class token cache, so only touched classes
+    /// re-tokenize. The class-level delta is the diff of the two
+    /// versions' chunk manifests; the new one is a by-product of that
+    /// build, so each class is hashed once. The store swaps to the new
+    /// image under its epoch guard and, with a disk tier, persists it
+    /// as a snapshot like any other load.
     pub fn put_version(&self, app_id: &str, seed: u64) -> Result<PutVersionOutcome, ServiceError> {
         let _guard = self.begin_request(&self.counters.put_version_requests);
         let app_lock = {
@@ -469,40 +441,22 @@ impl Service {
         let started = Instant::now();
         let (current, _) = self.fetch_current(app_id)?;
         let (mutated, _mutation) = mutate_version(current.program(), seed);
-        let prior_manifest = current.chunk_manifest().clone();
-        let next_manifest = ChunkManifest::of_program(&mutated);
-        let delta = prior_manifest.diff(&next_manifest);
-        let c = &self.counters;
-        c.chunks_reused.add(delta.unchanged.len() as u64);
-        c.chunks_written
-            .add((delta.changed.len() + delta.added.len()) as u64);
-        let program = match &self.chunks {
-            Some(store) => {
-                let _ = store.put_program(&mutated);
-                match apply_delta(current.program(), &prior_manifest, &next_manifest, store) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        // Garbage or truncation in the chunk store:
-                        // serve the full in-memory program instead —
-                        // same bytes, no chunk reuse.
-                        c.chunk_fallbacks.inc();
-                        mutated
-                    }
-                }
-            }
-            None => mutated,
-        };
         let mut versions = self.versions.lock().expect("version map poisoned");
         let state = versions.entry(app_id.to_string()).or_default();
         if state.version == 0 {
             state.version = 1;
         }
         let (artifacts, next_cache, tokens_reused) = AppArtifacts::with_backend_cached(
-            program,
+            mutated,
             current.manifest().clone(),
             self.base.backend,
             &state.token_cache,
         );
+        let delta = current.chunk_manifest().diff(artifacts.chunk_manifest());
+        let c = &self.counters;
+        c.chunks_reused.add(delta.unchanged.len() as u64);
+        c.chunks_written
+            .add((delta.changed.len() + delta.added.len()) as u64);
         c.classes_retokenized
             .add((next_cache.len().saturating_sub(tokens_reused)) as u64);
         let arc = self.store.put(app_id, artifacts);
@@ -924,39 +878,38 @@ mod tests {
         assert_eq!(body(&a), body(&b));
     }
 
-    #[test]
-    fn chunk_store_damage_falls_back_to_the_full_program() {
-        let dir = std::env::temp_dir().join(format!(
-            "backdroid-service-chunk-test-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// Runs one `put_version`/`analyze_delta` chain on app 2 and
+    /// returns the wire bytes of every delta reply.
+    fn delta_chain(snapshot_dir: Option<std::path::PathBuf>) -> Vec<String> {
         let service = Service::over_benchset(
             BenchsetConfig::sized(6, 0.04),
             ServiceConfig {
-                snapshot_dir: Some(dir.clone()),
+                snapshot_dir,
                 ..ServiceConfig::default()
             },
         );
-        service.put_version("2", 11).unwrap();
-        // Replace the chunk directory with a plain file: every chunk
-        // write and read now fails, so the update must serve the
-        // in-memory program instead of the chunk round-trip.
-        let chunks = dir.join("chunks");
-        std::fs::remove_dir_all(&chunks).unwrap();
-        std::fs::write(&chunks, b"junk").unwrap();
-        let v3 = service.put_version("2", 12).unwrap();
-        assert_eq!(v3.version, 3);
-        assert_eq!(
-            service
-                .metrics()
-                .snapshot()
-                .value("chunk_full_fallback_total"),
-            1
-        );
-        // The fallback never changes what is served.
-        let served = service.analyze_app("2").unwrap();
-        assert_eq!(body(&served), body(&from_scratch("2", &[11, 12])));
+        let mut replies = vec![body(&service.analyze_delta("2").unwrap())];
+        for seed in [11, 12] {
+            service.put_version("2", seed).unwrap();
+            replies.push(body(&service.analyze_delta("2").unwrap()));
+        }
+        replies
+    }
+
+    #[test]
+    fn updates_publish_through_snapshots_alone() {
+        let dir = std::env::temp_dir().join(format!(
+            "backdroid-service-update-test-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
+        let disk = delta_chain(Some(dir.clone()));
+        assert!(
+            !dir.join("chunks").exists(),
+            "updates persist through the store's snapshots, not a chunk directory"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(disk, delta_chain(None), "a disk tier never changes a reply");
+        assert_eq!(disk[2], body(&from_scratch("2", &[11, 12])));
     }
 }

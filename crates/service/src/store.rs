@@ -201,31 +201,6 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
-    /// Folds another store's counters into this one — how a sharded
-    /// server aggregates its per-shard stores into the fleet view the
-    /// JSONL `stats` op reports. Monotonic counters and residency sum
-    /// exactly; `peak_resident_bytes` sums too, making the aggregate an
-    /// **upper bound** on true simultaneous fleet residency (per-shard
-    /// peaks need not coincide).
-    pub fn absorb(&mut self, other: &StoreStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.coalesced += other.coalesced;
-        self.loads += other.loads;
-        self.load_failures += other.load_failures;
-        self.evictions += other.evictions;
-        self.bytes_evicted += other.bytes_evicted;
-        self.disk_hits += other.disk_hits;
-        self.disk_misses += other.disk_misses;
-        self.disk_invalidations += other.disk_invalidations;
-        self.disk_writes += other.disk_writes;
-        self.disk_bytes_written += other.disk_bytes_written;
-        self.disk_write_failures += other.disk_write_failures;
-        self.peak_resident_bytes += other.peak_resident_bytes;
-        self.resident_bytes += other.resident_bytes;
-        self.resident_apps += other.resident_apps;
-    }
-
     /// Reads the `store_*` metrics out of a registry snapshot — the one
     /// render path every stats view (the wire `stats` op, the stderr
     /// dumps, shard aggregation) goes through, so they can never drift.

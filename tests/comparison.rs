@@ -1,8 +1,12 @@
 //! Cross-tool integration tests: BackDroid vs the whole-app baseline on
 //! shared apps, reproducing the §VI-C agreement/disagreement matrix.
 
+use backdroid_appgen::benchset::{
+    bench_app, BenchsetConfig, Profile, ERROR_MODULUS, MIN_CODE_SCALE,
+};
 use backdroid_appgen::{AppSpec, BaselineBlindSpot, Mechanism, Scenario, SinkKind};
 use backdroid_core::{Backdroid, DetectorRegistry};
+use backdroid_ir::wire::fnv1a64;
 use backdroid_wholeapp::amandroid::{analyze, AmandroidConfig, Outcome};
 
 fn baseline_cfg() -> AmandroidConfig {
@@ -143,18 +147,33 @@ fn robust_baseline_closes_the_async_gap() {
 
 #[test]
 fn error_injection_hashes_agree_across_crates() {
-    // appgen picks names for the baseline's deterministic error injection;
-    // both crates must hash identically.
-    for name in ["com.a.b", "x", "com.bench.app074.v12"] {
-        assert_eq!(
-            backdroid_appgen::benchset::fnv1a(name),
-            backdroid_wholeapp::amandroid::fnv1a(name)
-        );
-    }
+    // appgen picks app names so that exactly its whole-app-error profile
+    // trips the baseline's deterministic error injection.
     assert_eq!(
         backdroid_appgen::benchset::ERROR_MODULUS,
         backdroid_wholeapp::amandroid::ERROR_MODULUS
     );
+    let cfg = BenchsetConfig::sized(24, MIN_CODE_SCALE);
+    let registry = DetectorRegistry::paper();
+    let mut tripped = 0;
+    for i in 0..cfg.count {
+        let ba = bench_app(i, cfg);
+        let name = &ba.app.name;
+        let trips = fnv1a64(name.as_bytes()).is_multiple_of(ERROR_MODULUS);
+        assert_eq!(trips, ba.profile == Profile::WholeAppError, "{name}");
+        if trips {
+            tripped += 1;
+            let out = analyze(
+                name,
+                &ba.app.program,
+                &ba.app.manifest,
+                &registry,
+                &AmandroidConfig::default(),
+            );
+            assert!(matches!(out, Outcome::Error { .. }), "{name}");
+        }
+    }
+    assert!(tripped > 0, "the set holds whole-app-error apps");
 }
 
 #[test]

@@ -10,7 +10,7 @@ use backdroid_ir::{
 };
 use backdroid_obs::Tracer;
 use backdroid_search::{BytecodeText, SearchCmd, SearchEngine};
-use backdroid_service::proto;
+use backdroid_service::proto::{self, parse_json, Json};
 use proptest::prelude::*;
 
 /// Strategy for simple Java identifiers.
@@ -160,21 +160,30 @@ proptest! {
         prop_assert_eq!(Type::descriptor_prefix_len(&s), parsed_prefix_len(&s));
     }
 
-    /// The three FNV-1a copies agree: appgen picks app names by its copy
-    /// for the whole-app baseline's error injection, and shard routing
-    /// hashes app ids with `fnv1a64`.
+    /// `fnv1a64` is textbook 64-bit FNV-1a: shard routing and the
+    /// whole-app baseline's error injection (which appgen picks app
+    /// names against) depend on its exact values.
     #[test]
-    fn fnv1a_copies_agree(s in any_string()) {
-        let h = fnv1a64(s.as_bytes());
-        prop_assert_eq!(backdroid_appgen::benchset::fnv1a(&s), h);
-        prop_assert_eq!(backdroid_wholeapp::amandroid::fnv1a(&s), h);
+    fn fnv1a64_matches_reference_loop(s in any_string()) {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in s.bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        prop_assert_eq!(fnv1a64(s.as_bytes()), h);
     }
 
-    /// The wire escaper and the obs crate's escaper emit the same bytes
-    /// (the `metrics` op embeds obs-rendered JSON in a wire reply).
+    /// The one JSON escaper: the wire protocol re-exports the obs
+    /// crate's, what it emits parses back to the input, and it escapes
+    /// only what JSON requires.
     #[test]
-    fn proto_escape_matches_obs_escaping(s in any_string()) {
-        prop_assert_eq!(proto::escape(&s), exported_attr(&s));
+    fn escaped_strings_parse_back(s in any_string()) {
+        let escaped = exported_attr(&s);
+        prop_assert_eq!(&proto::escape(&s), &escaped);
+        prop_assert_eq!(parse_json(&format!("\"{escaped}\"")), Ok(Json::Str(s.clone())));
+        let minimal = s
+            .chars()
+            .all(|c| c >= ' ' && c != '"' && c != '\\');
+        prop_assert_eq!(minimal, escaped == s);
     }
 
     /// Soot-format method signatures parse back to themselves.
