@@ -441,6 +441,7 @@ impl Service {
         let started = Instant::now();
         let (current, _) = self.fetch_current(app_id)?;
         let (mutated, _mutation) = mutate_version(current.program(), seed);
+        let prior_manifest = current.chunk_manifest();
         let mut versions = self.versions.lock().expect("version map poisoned");
         let state = versions.entry(app_id.to_string()).or_default();
         if state.version == 0 {
@@ -452,7 +453,7 @@ impl Service {
             self.base.backend,
             &state.token_cache,
         );
-        let delta = current.chunk_manifest().diff(artifacts.chunk_manifest());
+        let delta = prior_manifest.diff(artifacts.chunk_manifest());
         let c = &self.counters;
         c.chunks_reused.add(delta.unchanged.len() as u64);
         c.chunks_written
