@@ -173,17 +173,24 @@ proptest! {
     }
 
     /// The one JSON escaper: the wire protocol re-exports the obs
-    /// crate's, what it emits parses back to the input, and it escapes
-    /// only what JSON requires.
+    /// crate's, and what it emits parses back to the input. The length
+    /// pins the form: two-byte escapes for quote, backslash, `\n`, `\r`
+    /// and `\t`, `\u00XX` for other control characters, everything
+    /// else verbatim.
     #[test]
     fn escaped_strings_parse_back(s in any_string()) {
         let escaped = exported_attr(&s);
         prop_assert_eq!(&proto::escape(&s), &escaped);
         prop_assert_eq!(parse_json(&format!("\"{escaped}\"")), Ok(Json::Str(s.clone())));
-        let minimal = s
+        let expected_len: usize = s
             .chars()
-            .all(|c| c >= ' ' && c != '"' && c != '\\');
-        prop_assert_eq!(minimal, escaped == s);
+            .map(|c| match c {
+                '"' | '\\' | '\n' | '\r' | '\t' => 2,
+                c if c < ' ' => 6,
+                c => c.len_utf8(),
+            })
+            .sum();
+        prop_assert_eq!(escaped.len(), expected_len);
     }
 
     /// Soot-format method signatures parse back to themselves.
