@@ -386,8 +386,8 @@ pub enum Op {
     },
     /// Publishes version *n+1* of an app: the server mutates the app's
     /// current program with the deterministic update generator
-    /// (`backdroid_appgen::mutate_version`), persists the new version's
-    /// per-class chunks, and swaps the served image. The response
+    /// (`backdroid_appgen::mutate_version`) and swaps the served image
+    /// (snapshotted when a disk tier is configured). The response
     /// carries only deterministic fields (version number, ground-truth
     /// delta class counts) so update traces replay byte-for-byte.
     PutVersion {
